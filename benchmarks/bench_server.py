@@ -17,9 +17,11 @@ Script mode (what the CI ``bench-regression`` job runs)::
 
     PYTHONPATH=src python -m benchmarks.bench_server --quick --json out.json
 
-Gated metrics: ``server_qps`` (aggregate, 4 clients) and
-``latency_ok`` (1 / mean request latency in seconds — inverted so the
-shared "bigger is better" regression rule applies).
+Gated metrics: ``server_qps`` (aggregate, 4 clients), ``latency_ok``
+(1 / mean request latency in seconds — inverted so the shared "bigger is
+better" regression rule applies) and ``paged_rows_per_s`` (one client
+fetching every page of a multi-page projection; aggregates answer in one
+row, so only this metric sees the cost of encoding large results).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pathlib import Path
 from repro import EngineConfig, NoDBEngine
 from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows, iterations
 from repro.client import RemoteConnection
+from repro.result import QueryResult
 from repro.server import ReproServer
 from repro.workload import TableSpec, materialize_csv
 
@@ -48,6 +51,10 @@ WORKLOAD = [
     "select count(*) from t where a2 > 500",
     "select min(a3), max(a3) from t",
 ]
+#: A whole-table projection, fetched page by page through the wire.
+PAGED_SQL = "select a1, a2, a3 from t"
+PAGE_ROWS = 1_000
+FULL_PAGED_FETCHES = 50
 
 
 def _drive_clients(
@@ -80,6 +87,20 @@ def _drive_clients(
     return elapsed, latencies, outcomes[0][1]
 
 
+def _fetch_pages(url: str, fetches: int) -> tuple[float, int, QueryResult]:
+    """Run :data:`PAGED_SQL` ``fetches`` times, fetching every page.
+
+    Returns (wall seconds, rows fetched, the last fetch's result).
+    """
+    conn = RemoteConnection(url, client_id="bench-paged")
+    rows_fetched = 0
+    start = time.perf_counter()
+    for _ in range(fetches):
+        result = conn.execute(PAGED_SQL, page_size=PAGE_ROWS).to_result()
+        rows_fetched += result.num_rows
+    return time.perf_counter() - start, rows_fetched, result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = bench_arg_parser(
         "Multi-client QPS and latency of the HTTP serving layer."
@@ -94,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = dataset_rows(args, FULL_ROWS, QUICK_ROWS)
     queries_per_client = iterations(args, FULL_QUERIES_PER_CLIENT)
+    paged_fetches = iterations(args, FULL_PAGED_FETCHES)
     nclients = max(2, args.clients)
 
     with tempfile.TemporaryDirectory(prefix="repro-srvbench-") as tmp:
@@ -125,6 +147,16 @@ def main(argv: list[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return 1
+            paged_elapsed, paged_rows, paged_answer = _fetch_pages(
+                server.url, paged_fetches
+            )
+            if not paged_answer.approx_equal(engine.query(PAGED_SQL), rel=0):
+                print(
+                    "FATAL: paged projection differs from the engine's "
+                    "direct answer",
+                    file=sys.stderr,
+                )
+                return 1
             rejected = server.admission.snapshot()["rejected_global"]
 
     nqueries = nclients * queries_per_client
@@ -134,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics={
             "server_qps": nqueries / elapsed,
             "latency_ok": 1.0 / mean_latency,
+            "paged_rows_per_s": paged_rows / paged_elapsed,
         },
         info={
             "rows": rows,
@@ -141,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             "queries": nqueries,
             "mean_latency_ms": round(mean_latency * 1e3, 3),
             "max_latency_ms": round(max(latencies) * 1e3, 3),
+            "paged_fetches": paged_fetches,
+            "paged_pages_per_fetch": -(-rows // PAGE_ROWS),
+            "paged_ms_per_fetch": round(paged_elapsed / paged_fetches * 1e3, 3),
             "rejected_429": rejected,
             "quick": args.quick,
         },

@@ -40,21 +40,31 @@ def _encode_value(v) -> object:
     return str(v)
 
 
-_FLOAT_SPECIALS = {
-    "NaN": float("nan"),
-    "Infinity": float("inf"),
-    "-Infinity": float("-inf"),
-}
+def _encode_column(col: np.ndarray) -> list:
+    """One column as a list of strict-JSON-safe scalars.
+
+    Numeric columns take one ``tolist()`` call, which yields exactly the
+    Python ints, bools and floats :func:`_encode_value` would; floats then
+    rewrite only their non-finite positions to the string sentinels.
+    Everything else keeps the per-cell path.
+    """
+    kind = col.dtype.kind
+    if kind in "iub":
+        return col.tolist()
+    if kind == "f":
+        values = col.tolist()
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            values[i] = _encode_value(values[i])
+        return values
+    return [_encode_value(v) for v in col]
 
 
 def _decode_column(values: list, dtype: str) -> np.ndarray:
     if dtype == "int64":
         return np.array(values, dtype=np.int64)
     if dtype == "float64":
-        return np.array(
-            [_FLOAT_SPECIALS.get(v, v) if isinstance(v, str) else v for v in values],
-            dtype=np.float64,
-        )
+        # NumPy parses the "NaN" / "Infinity" / "-Infinity" sentinels itself.
+        return np.array(values, dtype=np.float64)
     return np.array([str(v) for v in values], dtype=object)
 
 
@@ -150,7 +160,7 @@ class QueryResult:
         return {
             "names": list(self.names),
             "dtypes": [_dtype_token(c) for c in self.columns],
-            "columns": [[_encode_value(v) for v in c] for c in self.columns],
+            "columns": [_encode_column(c) for c in self.columns],
             "num_rows": self.num_rows,
         }
 

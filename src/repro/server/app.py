@@ -516,7 +516,16 @@ class _Handler(BaseHTTPRequestHandler):
         return self.headers.get("X-Repro-Client") or self.client_address[0]
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # The body cannot be framed, so it cannot be skipped either:
+            # answer now and close rather than read until the client
+            # hangs up.
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length must be a non-negative integer, got {raw_length!r}"
+            )
+        length = int(raw_length)
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -546,6 +555,8 @@ class _Handler(BaseHTTPRequestHandler):
                 retry_after = getattr(exc, "retry_after_s", None)
                 if retry_after is not None:
                     headers["Retry-After"] = f"{max(1, round(retry_after))}"
+                if self.close_connection:
+                    headers["Connection"] = "close"
                 self._send_json(exc.http_status, exc.to_payload(), headers)
                 return
             except Exception as exc:  # never leak a raw traceback to the wire

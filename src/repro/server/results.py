@@ -138,20 +138,19 @@ class ResultManager:
         result_id = secrets.token_hex(8)
         now = self._clock()
         expires_at = now + self.ttl_s
+        encoded = result.to_json_dict()
         meta = {
             "result_id": result_id,
             "num_rows": result.num_rows,
             "num_columns": result.num_columns,
             "names": list(result.names),
-            "dtypes": result.to_json_dict()["dtypes"],
+            "dtypes": encoded["dtypes"],
             "page_size": page_size,
             "num_pages": result.num_pages(page_size),
             "created_at": now,
             "expires_at": expires_at,
         }
-        body = json.dumps(
-            {"meta": meta, "result": result.to_json_dict()}, allow_nan=False
-        )
+        body = json.dumps({"meta": meta, "result": encoded}, allow_nan=False)
         path = self._path(result_id)
         tmp = path.with_suffix(".tmp")
         try:

@@ -22,9 +22,13 @@ all bookkeeping runs under one re-entrant lock.  Eviction callbacks fire
 fragment owner's dropper may ``forget`` siblings or ``register`` a
 replacement): the re-entrant lock makes the nested call safe, and a
 nested ``_enforce`` is deferred to the outermost one — which re-reads
-``resident_bytes`` on every loop iteration, so charges added by a
+the resident total on every loop iteration, so charges added by a
 callback are still driven back under budget before the outer call
 returns.
+
+The heap and mapped totals are running counters, adjusted wherever a
+fragment is added, resized, re-flagged, forgotten or evicted, so reading
+them costs O(1) rather than a scan of every fragment.
 
 Pins are **counted**, not boolean: concurrent queries that pin the same
 fragment each hold one pin, and a fragment is evictable only when every
@@ -85,20 +89,31 @@ class MemoryManager:
         default_factory=threading.RLock, repr=False, compare=False
     )
     _enforcing: bool = field(default=False, repr=False, compare=False)
+    _resident: int = field(default=0, init=False, repr=False, compare=False)
+    _mapped: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for frag in self.fragments.values():
+            self._count(frag, +1)
 
     # ------------------------------------------------------------- charges
 
     @property
     def resident_bytes(self) -> int:
         """Heap bytes under the budget (mapped pages are not heap)."""
-        with self._lock:
-            return sum(f.nbytes for f in self.fragments.values() if not f.mapped)
+        return self._resident
 
     @property
     def mapped_bytes(self) -> int:
         """Bytes served via ``np.memmap`` of the persistent store."""
-        with self._lock:
-            return sum(f.nbytes for f in self.fragments.values() if f.mapped)
+        return self._mapped
+
+    def _count(self, frag: FragmentInfo, sign: int) -> None:
+        """Add (``+1``) or remove (``-1``) a fragment from its total."""
+        if frag.mapped:
+            self._mapped += sign * frag.nbytes
+        else:
+            self._resident += sign * frag.nbytes
 
     def _tick(self) -> int:
         self._clock += 1
@@ -135,6 +150,7 @@ class MemoryManager:
             tick = self._tick()
             existing = self.fragments.get(key)
             if existing is not None:
+                self._count(existing, -1)
                 existing.nbytes = nbytes
                 # Under FIFO, ``last_used`` is the insertion order and must
                 # survive resizes — refreshing it here would silently turn
@@ -145,14 +161,17 @@ class MemoryManager:
                 existing.mapped = mapped
                 if pinned:
                     existing.pins += 1
+                self._count(existing, +1)
             else:
-                self.fragments[key] = FragmentInfo(
+                frag = FragmentInfo(
                     key, nbytes, tick, dropper, pins=1 if pinned else 0, mapped=mapped
                 )
+                self.fragments[key] = frag
+                self._count(frag, +1)
             self._enforce(exclude=key)
-            self.stats.peak_bytes = max(self.stats.peak_bytes, self.resident_bytes)
+            self.stats.peak_bytes = max(self.stats.peak_bytes, self._resident)
             self.stats.peak_mapped_bytes = max(
-                self.stats.peak_mapped_bytes, self.mapped_bytes
+                self.stats.peak_mapped_bytes, self._mapped
             )
 
     def touch(self, key: tuple[str, str]) -> None:
@@ -164,7 +183,9 @@ class MemoryManager:
     def forget(self, key: tuple[str, str]) -> None:
         """Remove book-keeping without calling the dropper (owner dropped)."""
         with self._lock:
-            self.fragments.pop(key, None)
+            frag = self.fragments.pop(key, None)
+            if frag is not None:
+                self._count(frag, -1)
 
     # -------------------------------------------------------------- pinning
 
@@ -233,10 +254,7 @@ class MemoryManager:
             # Only heap fragments count against — or are evicted for —
             # the budget: dropping a mapped fragment would release a
             # shared page mapping, not the heap bytes being enforced.
-            while (
-                sum(f.nbytes for f in self.fragments.values() if not f.mapped)
-                > self.budget_bytes
-            ):
+            while self._resident > self.budget_bytes:
                 victims = [
                     f
                     for f in self.fragments.values()
@@ -248,6 +266,7 @@ class MemoryManager:
                     break
                 victim = min(victims, key=lambda f: f.last_used)
                 del self.fragments[victim.key]
+                self._count(victim, -1)
                 self.stats.evictions += 1
                 self.stats.bytes_evicted += victim.nbytes
                 victim.dropper()

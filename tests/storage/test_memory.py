@@ -1,7 +1,11 @@
 """Tests for the adaptive-store memory budget and eviction."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.storage.memory import MemoryManager
 
@@ -255,3 +259,137 @@ def test_concurrent_pin_unpin_register_consistent():
         frag = m.fragments.get(key)
         assert frag is None or frag.pins == 0
     assert m.resident_bytes <= 5000
+
+
+class RecomputingMemoryManager(MemoryManager):
+    """Reference manager: every total is a fresh sum over the fragments."""
+
+    @property
+    def resident_bytes(self) -> int:
+        return sum(f.nbytes for f in self.fragments.values() if not f.mapped)
+
+    @property
+    def mapped_bytes(self) -> int:
+        return sum(f.nbytes for f in self.fragments.values() if f.mapped)
+
+    def _enforce(self, exclude=None) -> None:
+        if self.budget_bytes is None or self._enforcing:
+            return
+        self._enforcing = True
+        try:
+            while self.resident_bytes > self.budget_bytes:
+                victims = [
+                    f
+                    for f in self.fragments.values()
+                    if f.pins == 0 and f.key != exclude and not f.mapped
+                ]
+                if not victims:
+                    break
+                victim = min(victims, key=lambda f: f.last_used)
+                del self.fragments[victim.key]
+                self.stats.evictions += 1
+                self.stats.bytes_evicted += victim.nbytes
+                victim.dropper()
+        finally:
+            self._enforcing = False
+
+
+KEYS = [("t", f"c{i}") for i in range(6)]
+
+memory_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("register"),
+            st.sampled_from(KEYS),
+            st.integers(0, 120),
+            st.booleans(),
+            st.booleans(),
+        ),
+        st.tuples(
+            st.sampled_from(["forget", "pin", "unpin", "touch"]),
+            st.sampled_from(KEYS),
+        ),
+        st.tuples(st.sampled_from(["enforce", "release_pins"])),
+    ),
+    max_size=60,
+)
+
+
+def _dropper(m: MemoryManager, key, evicted: list):
+    """Record the eviction; two keys re-enter the manager like real owners."""
+
+    def drop():
+        evicted.append(key)
+        if key == KEYS[0]:
+            m.register(("t", "replacement"), 7, lambda: evicted.append("r"))
+        elif key == KEYS[1]:
+            m.forget(KEYS[2])
+
+    return drop
+
+
+def _apply(m: MemoryManager, op: tuple, evicted: list) -> None:
+    name, *args = op
+    if name == "register":
+        key, nbytes, pinned, mapped = args
+        m.register(key, nbytes, _dropper(m, key, evicted), pinned, mapped)
+    elif name in ("forget", "pin", "unpin", "touch"):
+        getattr(m, name)(args[0])
+    else:
+        getattr(m, name)()
+
+
+@given(
+    ops=memory_ops,
+    budget=st.integers(50, 300),
+    policy=st.sampled_from(["lru", "fifo"]),
+)
+def test_running_totals_match_recomputed_sums(ops, budget, policy):
+    m = MemoryManager(budget_bytes=budget, policy=policy)
+    ref = RecomputingMemoryManager(budget_bytes=budget, policy=policy)
+    evicted, ref_evicted = [], []
+    for op in ops:
+        _apply(m, op, evicted)
+        _apply(ref, op, ref_evicted)
+        assert m.resident_bytes == ref.resident_bytes == sum(
+            f.nbytes for f in m.fragments.values() if not f.mapped
+        )
+        assert m.mapped_bytes == ref.mapped_bytes == sum(
+            f.nbytes for f in m.fragments.values() if f.mapped
+        )
+        assert evicted == ref_evicted
+        assert sorted(m.fragments) == sorted(ref.fragments)
+    assert m.stats.bytes_evicted == ref.stats.bytes_evicted
+
+
+def test_running_totals_survive_concurrent_churn():
+    """Four threads register, resize, re-flag and forget shared keys with
+    a short switch interval; a lost counter update would leave a total
+    that no longer equals the sum over the surviving fragments."""
+    m = MemoryManager(budget_bytes=2_000)
+    keys = [("t", f"c{i}") for i in range(8)]
+    barrier = threading.Barrier(4)
+
+    def worker(tid: int):
+        barrier.wait()
+        for i in range(400):
+            key = keys[(tid * 3 + i) % len(keys)]
+            if i % 5 == 4:
+                m.forget(key)
+            else:
+                nbytes = 50 + (i * 7 + tid) % 200
+                m.register(key, nbytes, lambda: None, mapped=i % 3 == 0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, tid) for tid in range(4)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    frags = list(m.fragments.values())
+    assert m.resident_bytes == sum(f.nbytes for f in frags if not f.mapped)
+    assert m.mapped_bytes == sum(f.nbytes for f in frags if f.mapped)
+    assert m.resident_bytes <= 2_000
