@@ -17,7 +17,8 @@ Paper's headline shapes, asserted below:
 * every rerun is served at MonetDB steady-state speed by all caching
   policies.
 
-MonetDB here runs with binary persistence (a real load writes the
+MonetDB here writes every load to the persistent store and each of its
+query times includes waiting for that write (a real load writes the
 internal format), matching what its 11,000 s figure includes.
 """
 
@@ -34,6 +35,20 @@ NEW_COLUMN_QUERIES = [2, 4, 6, 8, 10]  # 0-based indices of later cold peaks
 RERUNS = [1, 3, 5, 7, 9, 11]
 
 
+class _WriteBackEngine:
+    """An engine whose queries return only once the store write they
+    triggered has landed: a classic load includes writing its format."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.stats = engine.stats
+
+    def query(self, sql):
+        result = self.engine.query(sql)
+        self.engine.flush_persistent_store()
+        return result
+
+
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_adaptive_loading_with_file_reorganization(
     benchmark, fig4_file, tmp_path
@@ -41,17 +56,14 @@ def test_fig4_adaptive_loading_with_file_reorganization(
     sqls = [q.sql for q in figure4_sequence(FIG4_ROWS, ncols=12, seed=131)]
     series = []
     for label, policy, config in [
-        (
-            "MonetDB",
-            "fullload",
-            {"persist_loads": True, "binary_store_dir": tmp_path / "monet-bin"},
-        ),
+        ("MonetDB", "fullload", {"store_dir": tmp_path / "monet-store"}),
         ("Column Loads", "column_loads", {}),
         ("Partial Loads V2", "partial_v2", {}),
         ("Split Files", "splitfiles", {"splitfile_dir": tmp_path / "splits"}),
     ]:
         engine = fresh_engine(policy, fig4_file, **config)
-        series.append(run_sequence(label, engine, sqls))
+        timed = _WriteBackEngine(engine) if "store_dir" in config else engine
+        series.append(run_sequence(label, timed, sqls))
         engine.close()
     monet, column, v2, split = series
 

@@ -37,34 +37,29 @@ def _awk_seconds(join_files, strategy: str) -> float:
 
 def _db_seconds(join_files, tmp_path) -> tuple[float, float]:
     lp, rp = join_files
-    bin_dir = tmp_path / "join-bin"
-    loader = NoDBEngine(
-        EngineConfig(policy="fullload", persist_loads=True, binary_store_dir=bin_dir)
-    )
+    store_dir = tmp_path / f"join-store-{time.monotonic_ns()}"
+    loader = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
     loader.attach("l", lp)
     loader.attach("rt", rp)
     loader.query("select count(*) from l")
     loader.query("select count(*) from rt")
+    loader.flush_persistent_store()
     start = time.perf_counter()
     loader.query(SQL)
     hot = time.perf_counter() - start
     loader.close()
 
-    # Cold run: restore from the binary store through a simulated cold disk
-    # (25 MB/s) — the paper's cold numbers are disk-bound reads of the
-    # internal format.
-    cold = NoDBEngine(
-        EngineConfig(
-            policy="fullload",
-            binary_store_dir=bin_dir,
-            binary_read_bandwidth=25e6,
-        )
-    )
+    # Cold run: a restarted engine restores both tables from the
+    # persistent store.  The paper's cold numbers are disk-bound reads of
+    # the internal format, so the restored column bytes are charged at a
+    # modelled 25 MB/s cold disk on top of the measured time.
+    cold = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
     cold.attach("l", lp)
     cold.attach("rt", rp)
     start = time.perf_counter()
     cold.query(SQL)
-    cold_s = time.perf_counter() - start
+    cold_s = time.perf_counter() - start + cold.memory.mapped_bytes / 25e6
+    assert cold.stats.counters.restart_warm_hits > 0, "cold run must restore"
     cold.close()
     return cold_s, hot
 

@@ -68,7 +68,6 @@ from repro.sql.parser import parse_sql
 from repro.execution.executor import execute_bound_query
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema, merge_schemas, widest
-from repro.storage.binarystore import BinaryStore
 from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
 from repro.storage.memory import MemoryManager
 from repro.storage.persistent import PersistedState, PersistentStore
@@ -115,13 +114,6 @@ class NoDBEngine:
         if self.config.result_cache:
             self.result_cache = QueryResultCache(
                 memory=self.memory, max_entries=self.config.max_cached_results
-            )
-        self.binary_store: BinaryStore | None = None
-        if self.config.binary_store_dir is not None:
-            self.binary_store = BinaryStore(
-                self.config.binary_store_dir,
-                write_bandwidth_bytes_per_sec=self.config.binary_write_bandwidth,
-                read_bandwidth_bytes_per_sec=self.config.binary_read_bandwidth,
             )
         # The persistent adaptive store: learned state (positional maps,
         # partition plans, widened schemas, fully loaded columns) that
@@ -682,9 +674,9 @@ class NoDBEngine:
                             )
                         else:
                             # provide() without touching the raw file
-                            # (binary-store restore, v2 coverage found
-                            # inside the lock): warm in substance, and a
-                            # follower that waited still counts as reuse.
+                            # (v2 coverage found inside the lock): warm
+                            # in substance, and a follower that waited
+                            # still counts as reuse.
                             self._count_warm(qstats, waited)
                         self._schedule_persist(entry, pre_fingerprint)
                         return view
@@ -743,7 +735,6 @@ class NoDBEngine:
             memory=self.memory,
             qstats=qstats,
             split=split,
-            binary=self.binary_store,
             advisor=self.monitor.cracking,
         )
 
@@ -1027,8 +1018,8 @@ class NoDBEngine:
         Appends aren't rewrites: when the file grew and the prior region
         is byte-identical, the positional map, fully loaded columns, zone
         maps and partition plan are all extended in place instead of
-        wiped — only structures whose *answers* changed (crackers, cached
-        results, binary-store row images) are invalidated.  Returns False
+        wiped — only structures whose *answers* changed (crackers and
+        cached results) are invalidated.  Returns False
         when the change is not a tail-append or any extension
         precondition fails; the caller falls back to full invalidation.
         """
@@ -1051,8 +1042,6 @@ class NoDBEngine:
             self.memory.forget(entry.cracker_key(col))
         entry.crackers.clear()
         self.monitor.cracking.forget_table(entry.name.lower())
-        if self.binary_store is not None:
-            self.binary_store.drop_table(entry.name)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(entry.name.lower())
         entry.loaded_fingerprint = fingerprint
@@ -1069,8 +1058,6 @@ class NoDBEngine:
             self.memory.forget(entry.cracker_key(col))
         self.monitor.cracking.forget_table(entry.name.lower())
         entry.invalidate()  # destroys the entry's split catalog too
-        if self.binary_store is not None:
-            self.binary_store.drop_table(entry.name)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(entry.name.lower())
         if self.persistent_store is not None:

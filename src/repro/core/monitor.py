@@ -24,6 +24,7 @@ operator's (or a future auto-tuner's) decision.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.statistics import QueryStats
@@ -74,9 +75,14 @@ class RobustnessMonitor:
     policy: str
     window: int = 8
     evictions_seen: int = 0
-    history: list[QueryStats] = field(default_factory=list)
+    #: The last ``window`` queries; older ones are never read again, so
+    #: the monitor's memory stays bounded however many queries it sees.
+    history: deque[QueryStats] = field(init=False)
     #: Decides when repeated range predicates justify cracking a column.
     cracking: CrackingAdvisor = field(default_factory=CrackingAdvisor)
+
+    def __post_init__(self) -> None:
+        self.history = deque(maxlen=self.window)
 
     def observe(self, qstats: QueryStats, evictions_total: int = 0) -> None:
         self.history.append(qstats)
@@ -85,7 +91,7 @@ class RobustnessMonitor:
     # -------------------------------------------------------------- advice
 
     def advise(self) -> PolicyAdvice | None:
-        recent = self.history[-self.window :]
+        recent = list(self.history)
         if len(recent) < self.window:
             return None
         file_trips = sum(1 for q in recent if q.went_to_file)

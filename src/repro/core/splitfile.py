@@ -24,6 +24,7 @@ is where the Figure 4 "Split Files" curve gets its small peaks.
 from __future__ import annotations
 
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,7 +56,13 @@ class SplitResult:
 
 @dataclass
 class SplitFileCatalog:
-    """Split-file state for one attached flat file."""
+    """Split-file state for one attached flat file.
+
+    ``directory`` may be shared by many catalogs (several tables, several
+    engines with one ``splitfile_dir``): each catalog writes into its own
+    uniquely named subdirectory of it, created on first write and removed
+    by :meth:`destroy`, so catalogs never overwrite each other's files.
+    """
 
     source: FlatFile
     directory: Path
@@ -68,6 +75,7 @@ class SplitFileCatalog:
     homes: dict[int, ColumnHome] = field(default_factory=dict)
     _counter: int = 0
     files_written: int = 0
+    _workdir: Path | None = None
 
     def __post_init__(self) -> None:
         self.directory = Path(self.directory)
@@ -76,6 +84,14 @@ class SplitFileCatalog:
                 self.homes[c] = ColumnHome(
                     "original", self.source, c, skip_rows=self.skip_rows
                 )
+
+    def _own_dir(self) -> Path:
+        if self._workdir is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._workdir = Path(
+                tempfile.mkdtemp(prefix=f"{self.table_key}-", dir=self.directory)
+            )
+        return self._workdir
 
     # ------------------------------------------------------------- loading
 
@@ -152,14 +168,14 @@ class SplitFileCatalog:
             values = result.fields[local]
             if gcol in global_cols:
                 out[gcol] = values
-            single_path = self.directory / f"{self.table_key}_col{gcol}.txt"
+            single_path = self._own_dir() / f"col{gcol}.txt"
             _write_lines(single_path, values)
             written += 1
             self.homes[gcol] = ColumnHome("single", FlatFile(single_path), 0)
         # Write the non-tokenized tail columns into one new remainder.
         tail_locals = [loc for loc in range(width) if loc > max_needed_local]
         if tail_locals:
-            tail_path = self.directory / f"{self.table_key}_rem{self._counter}.txt"
+            tail_path = self._own_dir() / f"rem{self._counter}.txt"
             self._counter += 1
             self._write_remainder(
                 data.decode("utf-8"), result, tail_path, home
@@ -229,11 +245,9 @@ class SplitFileCatalog:
 
     def destroy(self) -> None:
         """Delete all split files (source edited -> derived data invalid)."""
-        seen = set()
-        for home in self.homes.values():
-            if home.kind != "original" and home.file.path not in seen:
-                seen.add(home.file.path)
-                home.file.path.unlink(missing_ok=True)
+        if self._workdir is not None:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+            self._workdir = None
         self.homes = {
             c: ColumnHome("original", self.source, c, skip_rows=self.skip_rows)
             for c in range(self.ncols)
@@ -242,7 +256,6 @@ class SplitFileCatalog:
 
 
 def _write_lines(path: Path, values) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("\n".join(values))
         if len(values):

@@ -21,9 +21,10 @@ Layout (one entry directory per source path, under ``store_dir``)::
         col_<i>.off.bin     # string column i: int64 char offsets (n+1)
         col_<i>.blob.bin    # string column i: UTF-8 payload
 
-The format deliberately extends :class:`~repro.storage.binarystore.
-BinaryStore`'s manifest + per-column layout (raw little-endian arrays, a
-JSON manifest naming them) rather than inventing a second one.
+This is the engine's one on-disk column store.  It is also the
+"internal format" of the paper's Figure 1: a classic load pays for
+writing it, and a later *cold* engine restores from it instead of
+re-parsing the flat file.
 
 Invariants
 ----------
@@ -62,7 +63,6 @@ from repro.faults import FaultPlan
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import DataType
-from repro.storage.binarystore import atomic_write_bytes
 
 if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.partitions import PartitionIndex
@@ -153,6 +153,21 @@ class PersistentStoreStats:
     bytes_read: int = 0
     entries_written: int = 0
     entries_restored: int = 0
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Crash-safe file write: temp file in the same directory + rename.
+
+    ``os.replace`` is atomic on POSIX, so a reader either sees the old
+    complete file or the new complete file — never a torn write.  A crash
+    mid-write leaves only a ``.tmp`` orphan, which readers ignore.
+    """
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -66,21 +66,25 @@ class TestAutoInvalidate:
         assert result.scalar() == sum(i * 100 for i in range(60))
         engine.close()
 
-    def test_binary_store_invalidated(self, editable_csv, tmp_path):
-        cfg = EngineConfig(
-            policy="fullload",
-            persist_loads=True,
-            binary_store_dir=tmp_path / "bin",
-        )
-        engine = NoDBEngine(cfg)
+    def test_persistent_store_invalidated_across_restart(self, editable_csv, tmp_path):
+        """An edit made while no engine runs must not be answered from
+        the store entry the previous engine wrote."""
+        cfg = {"policy": "fullload", "store_dir": tmp_path / "store"}
+        engine = NoDBEngine(EngineConfig(**cfg))
         engine.attach("t", editable_csv)
         engine.query("select sum(a2) from t")
-        assert engine.binary_store.has("t", "a2")
+        engine.flush_persistent_store()
+        assert engine.persistent_store.entries()
+        engine.close()
         edit(editable_csv)
-        assert engine.query("select sum(a2) from t").scalar() == sum(
+        restarted = NoDBEngine(EngineConfig(**cfg))
+        restarted.attach("t", editable_csv)
+        assert restarted.query("select sum(a2) from t").scalar() == sum(
             i * 100 for i in range(60)
         )
-        engine.close()
+        assert restarted.stats.counters.store_invalidations == 1
+        assert restarted.stats.counters.restart_warm_hits == 0
+        restarted.close()
 
     def test_memory_manager_forgets_dropped_fragments(self, editable_csv):
         engine = NoDBEngine(EngineConfig(policy="column_loads"))

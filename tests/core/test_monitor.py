@@ -1,5 +1,7 @@
 """Tests for the robustness monitor (paper section 5.5)."""
 
+import random
+
 import pytest
 
 from repro import EngineConfig, NoDBEngine
@@ -261,3 +263,35 @@ class TestRepeatedColumnTraffic:
         assert monitor.advise() is None  # window not yet refilled
         monitor.observe(fake_query(parsed=1000))
         assert monitor.advise() is not None
+
+
+class TestBoundedHistory:
+    @pytest.mark.parametrize("policy", ["external", "partial_v2", "column_loads"])
+    def test_history_bounded_and_advice_unchanged(self, policy):
+        """10,000 observations keep exactly ``window`` entries, and every
+        advice equals that of a monitor fed only the last window (all an
+        unbounded history was ever read for)."""
+        rng = random.Random(policy)
+        monitor = RobustnessMonitor(policy=policy, window=8)
+        seen: list[QueryStats] = []
+        advised = 0
+        for i in range(10_000):
+            q = fake_query(
+                went_to_file=rng.random() < 0.9,
+                served_from_store=rng.random() < 0.1,
+                parsed=rng.choice([1000, 1500, 1500, 5000]),
+                loaded=rng.choice([0, 100]),
+            )
+            evictions = i // 50
+            monitor.observe(q, evictions_total=evictions)
+            seen.append(q)
+            if i % 97 == 0 or i == 9_999:
+                reference = RobustnessMonitor(policy=policy, window=8)
+                for old in seen[-8:]:
+                    reference.observe(old, evictions_total=evictions)
+                advice = monitor.advise()
+                assert advice == reference.advise()
+                advised += advice is not None
+        assert len(monitor.history) == 8
+        assert list(monitor.history) == seen[-8:]
+        assert advised > 0  # the comparison was not vacuously None == None

@@ -141,3 +141,39 @@ class TestHeaderedSource:
         assert list(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
         # Singles must not contain the header.
         assert list(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
+
+
+class TestSharedSplitDirectory:
+    def test_engines_sharing_splitfile_dir_keep_their_own_files(self, tmp_path):
+        """Two engines, one explicit ``splitfile_dir``, each with its own
+        file attached as ``t``: a reload from split files must read the
+        engine's own columns, never the other engine's."""
+        from repro import EngineConfig, NoDBEngine
+
+        paths = {}
+        for label, scale in (("a", 1), ("b", 100)):
+            paths[label] = tmp_path / f"{label}.csv"
+            paths[label].write_text(
+                "".join(f"{i},{i * 2},{i * scale}\n" for i in range(1, 6))
+            )
+        engines = {
+            label: NoDBEngine(
+                EngineConfig(
+                    policy="splitfiles",
+                    memory_budget_bytes=1,  # every reload goes to split files
+                    splitfile_dir=tmp_path / "splits",
+                )
+            )
+            for label in paths
+        }
+        try:
+            for label, engine in engines.items():
+                engine.attach("t", paths[label])
+            truth = {"a": 15, "b": 1500}
+            for label in ("a", "b", "a", "b"):
+                got = engines[label].query("select sum(a3) from t").scalar()
+                assert got == truth[label], label
+        finally:
+            for engine in engines.values():
+                engine.close()
+        assert not any((tmp_path / "splits").iterdir())  # destroy() cleaned up

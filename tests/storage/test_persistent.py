@@ -398,9 +398,12 @@ class TestDamage:
         outcome = store.load(source, fp)
         assert outcome.state is None and not outcome.invalidated
 
-    def test_garbage_manifest_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "garbage", [b"\x00garbage{{{", b'["a", "list"]'], ids=["not-json", "not-object"]
+    )
+    def test_garbage_manifest_is_a_miss(self, tmp_path, garbage):
         source, store, fp, edir = self._saved(tmp_path)
-        (edir / "manifest.json").write_bytes(b"\x00garbage{{{")
+        (edir / "manifest.json").write_bytes(garbage)
         assert store.load(source, fp).state is None
 
     def test_missing_posmap_file_is_a_miss(self, tmp_path):

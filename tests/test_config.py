@@ -29,11 +29,6 @@ def test_bad_eviction_policy_rejected():
         EngineConfig(eviction_policy="random")
 
 
-def test_persist_requires_binary_dir():
-    with pytest.raises(ValueError, match="binary_store_dir"):
-        EngineConfig(persist_loads=True)
-
-
 def test_resolve_splitfile_dir_creates_and_reuses(tmp_path):
     cfg = EngineConfig(splitfile_dir=tmp_path / "splits")
     d1 = cfg.resolve_splitfile_dir()
